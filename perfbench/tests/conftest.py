@@ -1,0 +1,12 @@
+"""Put the checkout's ``src`` and root on ``sys.path`` for the tests.
+
+Run from the checkout root: ``python3 -m pytest perfbench/tests -q``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
