@@ -51,13 +51,7 @@ import numpy as np
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext
-from repro.core.policies.gavel import (
-    _EPS,
-    _ITERS,
-    EqualShare,
-    GavelPolicy,
-    equal_share,
-)
+from repro.core.policies.gavel import _EPS, _ITERS, GavelPolicy
 from repro.core.resources import Allocation, ResourceVector
 
 #: Exhaustive assignment enumeration is used only while
@@ -187,10 +181,10 @@ class _HetGavelBase(GavelPolicy):
     #: generation scores) and for the scheduler's provenance plumbing.
     heterogeneity_aware = True
 
-    #: Per-round state consumed by :meth:`_feasible`; ``None`` outside
-    #: a heterogeneous scheduling round.
-    _active_pools: Optional[Dict[str, int]] = None
-    _assignment: Optional[Dict[str, str]] = None
+    #: Per-round state consumed by :meth:`_feasible`: each pool's
+    #: capacity and the mask of its jobs (in job order); ``None``
+    #: outside a heterogeneous scheduling round.
+    _pool_masks: Optional[List[Tuple[int, np.ndarray]]] = None
 
     def schedule(
         self,
@@ -215,20 +209,28 @@ class _HetGavelBase(GavelPolicy):
                     ctx.gen_assignments[job.job_id] = (
                         estimator.default_generation
                     )
-            self._active_pools = None
-            self._assignment = None
+            self._pool_masks = None
             return super().schedule(jobs, total, ctx)
         assignment = self._assign(list(jobs), dict(pools), total, ctx)
         for job_id, generation in assignment.items():
             estimator.assignments[job_id] = generation
             ctx.gen_assignments[job_id] = generation
-        self._active_pools = dict(pools)
-        self._assignment = assignment
+        n = len(jobs)
+        self._pool_masks = [
+            (
+                capacity,
+                np.fromiter(
+                    (assignment.get(job.job_id) == gen for job in jobs),
+                    bool,
+                    count=n,
+                ),
+            )
+            for gen, capacity in pools.items()
+        ]
         try:
             return super().schedule(jobs, total, ctx)
         finally:
-            self._active_pools = None
-            self._assignment = None
+            self._pool_masks = None
 
     def _assign(
         self,
@@ -257,10 +259,8 @@ class _HetGavelBase(GavelPolicy):
             ratio, arrays, frozen, frozen_targets, total
         ):
             return False
-        pools = self._active_pools
-        if not pools:
+        if not self._pool_masks:
             return True
-        assignment = self._assignment or {}
         targets = np.where(
             frozen, frozen_targets, ratio * arrays.perf_eq
         )
@@ -269,16 +269,7 @@ class _HetGavelBase(GavelPolicy):
                 arrays.f_star > 0, targets / arrays.f_star, 0.0
             )
         demand = fractions * arrays.gpus
-        n = len(arrays.jobs)
-        for gen, capacity in pools.items():
-            mask = np.fromiter(
-                (
-                    assignment.get(job.job_id) == gen
-                    for job in arrays.jobs
-                ),
-                bool,
-                count=n,
-            )
+        for capacity, mask in self._pool_masks:
             if float(demand[mask].sum()) > capacity * (1.0 + _EPS):
                 return False
         return True
@@ -323,11 +314,12 @@ class HetMaxMinPolicy(_HetGavelBase):
         # generation map before evaluating equal shares.
         for job in jobs:
             estimator.assignments.pop(job.job_id, None)
-        shares = self._normalisers(jobs, total, ctx)
-        normalisers = {
-            job_id: max(share.perf_mbps, 1e-12)
-            for job_id, share in shares.items()
-        }
+        normalisers = dict(
+            zip(
+                [job.job_id for job in jobs],
+                self._normalisers(jobs, total, ctx).tolist(),
+            )
+        )
         gens = sorted(pools)
         n = len(jobs)
         if n == 0:
@@ -426,21 +418,18 @@ class HetMaxThroughputPolicy(_HetGavelBase):
         jobs: Sequence[Job],
         total: ResourceVector,
         ctx: ScheduleContext,
-    ) -> Dict[str, EqualShare]:
+    ) -> np.ndarray:
         """Normalise by the job's compute bound, not the equal share."""
-        shares = {}
-        for job in jobs:
-            share = equal_share(
-                job, len(jobs), total, ctx.estimator, ctx.storage_aware
-            )
-            f_star = ctx.estimator.compute_bound(job, job.num_gpus)
-            shares[job.job_id] = EqualShare(
-                gpus=share.gpus,
-                cache_mb=share.cache_mb,
-                remote_io_mbps=share.remote_io_mbps,
-                perf_mbps=max(f_star, 1e-12) * job.weight,
-            )
-        return shares
+        f_star = np.array(
+            ctx.estimator.compute_bound_batch(
+                jobs, [job.num_gpus for job in jobs]
+            ),
+            dtype=float,
+        )
+        weight = np.fromiter(
+            (job.weight for job in jobs), float, count=len(jobs)
+        )
+        return np.maximum(np.maximum(f_star, 1e-12) * weight, 1e-12)
 
     def _assign(
         self,

@@ -23,10 +23,16 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+import numpy as np
+
 from repro.cluster.job import Job
 from repro.core import perf_model
 from repro.core.policies.base import ScheduleContext, SchedulingPolicy
-from repro.core.policies.gavel import EqualShare, GavelPolicy
+from repro.core.policies.gavel import (
+    GavelPolicy,
+    has_default_estimator,
+    slice_perf_columns,
+)
 from repro.core.policies.greedy import greedy_cache_allocation
 from repro.core.resources import Allocation, ResourceVector
 
@@ -132,21 +138,39 @@ class FinishTimeFairnessPolicy(GavelPolicy):
         jobs: Sequence[Job],
         total: ResourceVector,
         ctx: ScheduleContext,
-    ) -> Dict[str, EqualShare]:
-        n = len(jobs)
-        shares: Dict[str, EqualShare] = {}
-        for job in jobs:
-            gpus = min(job.num_gpus, total.gpus)
-            cache_mb = min(job.dataset.size_mb, total.cache_mb)
-            io = total.remote_io_mbps
-            if ctx.storage_aware and job.regular:
-                exclusive = ctx.estimator.estimate(job, gpus, cache_mb, io)
-            else:
-                exclusive = ctx.estimator.compute_bound(job, gpus)
-            shares[job.job_id] = EqualShare(
-                gpus=gpus / n,
-                cache_mb=cache_mb / n,
-                remote_io_mbps=io / n,
-                perf_mbps=max(exclusive / n, 1e-12),
+    ) -> np.ndarray:
+        """``1/n`` of each job's exclusive-run performance."""
+        estimator = ctx.estimator
+        if has_default_estimator(estimator):
+            exclusive = slice_perf_columns(
+                jobs,
+                total.gpus,
+                total.cache_mb,
+                total.remote_io_mbps,
+                ctx.storage_aware,
             )
-        return shares
+        else:
+            exclusive = np.array(
+                [
+                    estimator.estimate(
+                        job,
+                        min(job.num_gpus, total.gpus),
+                        min(job.dataset.size_mb, total.cache_mb),
+                        total.remote_io_mbps,
+                    )
+                    if ctx.storage_aware and job.regular
+                    else estimator.compute_bound(
+                        job, min(job.num_gpus, total.gpus)
+                    )
+                    for job in jobs
+                ],
+                dtype=float,
+            )
+        return np.maximum(exclusive / len(jobs), 1e-12)
+
+    def _gpu_shares(
+        self, jobs: Sequence[Job], total: ResourceVector
+    ) -> Dict[str, float]:
+        """``1/n`` of the GPUs each job could use running alone."""
+        n = len(jobs)
+        return {job.job_id: min(job.num_gpus, total.gpus) / n for job in jobs}

@@ -21,10 +21,10 @@ Scoring therefore evaluates two candidate allocations per job.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
-from repro.core.estimator import SiloDPerfEstimator
+from repro.core.estimator import HetSiloDPerfEstimator, SiloDPerfEstimator
 from repro.core.policies.base import (
     ScheduleContext,
     SchedulingPolicy,
@@ -94,15 +94,69 @@ def candidate_allocations(
 class SjfPolicy(SchedulingPolicy):
     """Preemptive multi-resource SJF.
 
-    On every scheduling round all active jobs are (re)scored and admitted
-    in ascending score order — running jobs with worse scores than waiting
-    ones are preempted, as in Tiresias. In SiloD mode, cache then goes to
-    the most cache-efficient datasets among admitted jobs and remote IO is
-    granted full-demand-first in score order (short jobs are never starved
-    by long ones).
+    On every scheduling round all active jobs are ranked by their Eq 6/7
+    score and admitted in ascending score order — running jobs with worse
+    scores than waiting ones are preempted, as in Tiresias. In SiloD
+    mode, cache then goes to the most cache-efficient datasets among
+    admitted jobs and remote IO is granted full-demand-first in score
+    order (short jobs are never starved by long ones).
+
+    A job's score depends only on its static fields, the cluster total,
+    the storage-awareness flag and the estimator, so each job is scored
+    once and the score is reused on later rounds while all four hold:
+    the same ``Job`` object, an equal ``total`` (faults and partitioned
+    pools change it), the same ``storage_aware`` flag and the same
+    estimator object. A :class:`HetSiloDPerfEstimator` carries mutable
+    generation assignments, so its rounds always re-score. The cache is
+    rebuilt from each round's job list and never outlives the active set.
     """
 
     name = "sjf"
+
+    def __init__(self) -> None:
+        #: job_id -> (job, score) for the last round's jobs.
+        self._scores: Dict[str, Tuple[Job, float]] = {}
+        #: The (total, storage_aware, estimator) the cached scores hold for.
+        self._scored_total: Optional[ResourceVector] = None
+        self._scored_storage_aware = False
+        self._scored_estimator: Optional[SiloDPerfEstimator] = None
+
+    def scores(
+        self,
+        jobs: Sequence[Job],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+    ) -> Dict[str, float]:
+        """Every job's Eq 6/7 score this round, scoring only new jobs."""
+        estimator = ctx.estimator
+        storage_aware = ctx.storage_aware
+        cacheable = not isinstance(estimator, HetSiloDPerfEstimator)
+        previous: Dict[str, Tuple[Job, float]] = {}
+        if (
+            cacheable
+            and self._scored_estimator is estimator
+            and self._scored_storage_aware == storage_aware
+            and self._scored_total == total
+        ):
+            previous = self._scores
+        kept: Dict[str, Tuple[Job, float]] = {}
+        scores: Dict[str, float] = {}
+        for job in jobs:
+            entry = previous.get(job.job_id)
+            if entry is not None and entry[0] is job:
+                score = entry[1]
+            else:
+                score = sjf_score(job, total, estimator, storage_aware)
+            kept[job.job_id] = (job, score)
+            scores[job.job_id] = score
+        if cacheable:
+            self._scores = kept
+            self._scored_total = total
+            self._scored_storage_aware = storage_aware
+            self._scored_estimator = estimator
+        else:
+            self._scores = {}
+        return scores
 
     def order(
         self,
@@ -111,12 +165,7 @@ class SjfPolicy(SchedulingPolicy):
         ctx: ScheduleContext,
     ) -> List[Job]:
         """Jobs in ascending Eq 6/7 score."""
-        scored = [
-            (sjf_score(job, total, ctx.estimator, ctx.storage_aware), job)
-            for job in jobs
-        ]
-        scored.sort(key=lambda pair: (pair[0], pair[1].job_id))
-        return [job for _score, job in scored]
+        return _ranked(jobs, self.scores(jobs, total, ctx))
 
     def schedule(
         self,
@@ -125,11 +174,9 @@ class SjfPolicy(SchedulingPolicy):
         ctx: ScheduleContext,
     ) -> Allocation:
         allocation = Allocation()
-        for job in jobs:
-            ctx.job_scores[job.job_id] = sjf_score(
-                job, total, ctx.estimator, ctx.storage_aware
-            )
-        ordered = self.order(jobs, total, ctx)
+        scores = self.scores(jobs, total, ctx)
+        ctx.job_scores.update(scores)
+        ordered = _ranked(jobs, scores)
         admitted = admit_in_order(ordered, total.gpus, allocation)
         if ctx.storage_aware and admitted:
             allocate_storage_greedily(
@@ -140,3 +187,8 @@ class SjfPolicy(SchedulingPolicy):
                 io_priority_order=[j.job_id for j in ordered],
             )
         return allocation
+
+
+def _ranked(jobs: Sequence[Job], scores: Dict[str, float]) -> List[Job]:
+    """``jobs`` by ascending score, ties by job id."""
+    return sorted(jobs, key=lambda job: (scores[job.job_id], job.job_id))

@@ -117,6 +117,16 @@ SCENARIOS: Dict[str, BenchScenario] = {
             "fluid_tiny", "fluid", num_jobs=40, num_gpus=16,
             duration_median_s=3600.0,
         ),
+        # The paper's own policies on the fluid_tiny shape: CI gates
+        # their anchors (SJF's score order, Gavel's max-min solve).
+        BenchScenario(
+            "fluid_tiny_sjf", "fluid", num_jobs=40, num_gpus=16,
+            policy="sjf", duration_median_s=3600.0,
+        ),
+        BenchScenario(
+            "fluid_tiny_gavel", "fluid", num_jobs=40, num_gpus=16,
+            policy="gavel", duration_median_s=3600.0,
+        ),
         BenchScenario("fluid_smoke", "fluid", num_jobs=120, num_gpus=64),
         BenchScenario(
             "minibatch_smoke", "minibatch", num_jobs=24, num_gpus=16,

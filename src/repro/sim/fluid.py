@@ -244,6 +244,10 @@ class FluidSimulator:
             work_eps_mb=_WORK_EPS_MB,
             snap_mb=_EPOCH_SNAP_MB,
         )
+        #: Generation last written to each job-table row's gen column.
+        #: Rows are never reused (a returning job id gets a new row), so
+        #: a row missing here has never been written.
+        self._gen_written: Dict[int, str] = {}
         #: Cache key per admitted job (``cache_key`` is deterministic, so
         #: it is computed once at admission instead of per event).
         self._job_key: Dict[str, str] = {}
@@ -873,16 +877,21 @@ class FluidSimulator:
         )
         # Mirror the round's generation placement into the job table's
         # gen column (trivially the reference generation on homogeneous
-        # fleets); ``generation_of`` reads it back.
+        # fleets); ``generation_of`` reads it back. A row is written only
+        # when its generation changes, so a homogeneous fleet writes each
+        # row once. (Reading the column back costs more than writing it.)
         generations = self.scheduler.last_generations
         default_gen = self.scheduler.default_generation
+        table = self._table
+        written = self._gen_written
         for progress in self._active.values():
             job_id = progress.job.job_id
-            row = self._table.row_of(job_id)
+            row = table.row_of(job_id)
             if row is not None:
-                self._table.set_generation(
-                    row, generations.get(job_id, default_gen)
-                )
+                generation = generations.get(job_id, default_gen)
+                if written.get(row) != generation:
+                    table.set_generation(row, generation)
+                    written[row] = generation
         self._invalidate_epoch_view()
         if tracer.enabled:
             start_candidates = self._active.values()

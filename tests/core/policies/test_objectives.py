@@ -105,10 +105,9 @@ class TestFinishTimeFairness:
         total = ResourceVector(gpus=4, cache_mb=100.0 * GB, remote_io_mbps=50.0)
         jobs = [job("a", f_star=100.0, d_gb=50.0), job("b", f_star=10.0, d_gb=50.0)]
         policy = FinishTimeFairnessPolicy()
-        shares = policy._normalisers(jobs, total, ctx())
+        perf_eq = policy._normalisers(jobs, total, ctx())
         # Job a runs at 100 exclusively; its 1/2 slice reference is 50.
-        assert shares["a"].perf_mbps == pytest.approx(50.0)
-        assert shares["b"].perf_mbps == pytest.approx(5.0)
+        assert perf_eq.tolist() == pytest.approx([50.0, 5.0])
 
     def test_budget_respected(self):
         total = ResourceVector(gpus=2, cache_mb=20.0 * GB, remote_io_mbps=40.0)

@@ -170,3 +170,45 @@ def test_single_pool_delegates_to_homogeneous_gavel():
         allocation.gpus.get(job.job_id, 0.0) for job in jobs
     )
     assert granted <= total.gpus + 1e-9
+
+
+def _pool_demand(jobs, ctx, estimator):
+    """GPUs each pool must supply for the max-min targets (pre-slack)."""
+    demand = {}
+    for job in jobs:
+        gen = ctx.gen_assignments[job.job_id]
+        f_star = estimator.f_star_by_generation(job)[gen]
+        demand[gen] = demand.get(gen, 0.0) + (
+            ctx.job_scores[job.job_id] / f_star * job.num_gpus
+        )
+    return demand
+
+
+def test_pool_capacity_binds_progressive_filling():
+    """A full slow pool caps the common ratio below the shared-GPU bound.
+
+    Six one-GPU jobs on a 3-GPU A100 pool and a 1-GPU V100 pool: the
+    densest three fill the A100 pool and the other three share the one
+    V100. The shared total alone would let every job reach 2/3 of its
+    compute bound (6 x 2/3 = 4 GPUs), which asks the V100 pool for 2
+    GPUs. The per-generation check must hold the ratio at 1/3.
+    """
+    jobs = _make_jobs(
+        [(1, ideal, 1024.0) for ideal in (100.0, 90.0, 80.0, 70.0, 60.0, 50.0)]
+    )
+    pools = {"A100": 3, "V100": 1}
+    total = ResourceVector(gpus=4.0, cache_mb=1e9, remote_io_mbps=1e9)
+    estimator = _estimator()
+    ctx = _context(estimator, pools)
+    HetMaxThroughputPolicy().schedule(jobs, total, ctx)
+    placed = [ctx.gen_assignments[job.job_id] for job in jobs]
+    assert placed == ["A100"] * 3 + ["V100"] * 3
+    demand = _pool_demand(jobs, ctx, estimator)
+    assert demand["V100"] == pytest.approx(1.0, rel=1e-6)
+    assert demand["A100"] == pytest.approx(1.0, rel=1e-6)
+    for job in jobs:
+        gen = ctx.gen_assignments[job.job_id]
+        f_star = estimator.f_star_by_generation(job)[gen]
+        assert ctx.job_scores[job.job_id] / f_star == pytest.approx(
+            1.0 / 3.0, rel=1e-6
+        )

@@ -12,7 +12,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
@@ -103,14 +103,14 @@ def comparable(event) -> dict:
 
 
 def run_both(simulator: str, seed: int, num_jobs: int, gpus: int,
-             **sim_kwargs):
+             policy: str = "fifo", **sim_kwargs):
     outcomes = {}
     for backend in (BACKEND_VECTORIZED, BACKEND_FALLBACK):
         with using_backend(backend):
             tracer = Tracer()
             result = run_experiment(
                 tiny_cluster(gpus),
-                "fifo",
+                policy,
                 "silod",
                 tiny_trace(seed, num_jobs, gpus),
                 simulator=simulator,
@@ -122,15 +122,20 @@ def run_both(simulator: str, seed: int, num_jobs: int, gpus: int,
     return outcomes
 
 
+@pytest.mark.parametrize("policy", ["fifo", "sjf", "gavel"])
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     num_jobs=st.integers(8, 24),
     gpus=st.sampled_from([8, 16]),
 )
-def test_fluid_runs_are_bit_identical(seed, num_jobs, gpus):
+@example(seed=1, num_jobs=20, gpus=16)
+@example(seed=2, num_jobs=20, gpus=16)
+@example(seed=3, num_jobs=20, gpus=16)
+@example(seed=7, num_jobs=20, gpus=16)
+def test_fluid_runs_are_bit_identical(policy, seed, num_jobs, gpus):
     outcomes = run_both(
-        "fluid", seed, num_jobs, gpus,
+        "fluid", seed, num_jobs, gpus, policy,
         reschedule_interval_s=1800.0, sample_interval_s=3600.0,
     )
     vec, fb = outcomes[BACKEND_VECTORIZED], outcomes[BACKEND_FALLBACK]

@@ -20,9 +20,10 @@
 #      and `repro report --slo` reports the injected deadline
 #      violations (see docs/OBSERVABILITY.md).
 #   6. perf smoke              — `repro bench --compare` of the tiny
-#      fluid scenario against the checked-in fallback-backend baseline
-#      (benchmarks/baselines/BENCH_fluid_tiny.json). Result anchors
-#      must match bit-for-bit ([DRIFT] fails: the simulation changed);
+#      fluid scenarios (fifo, and the paper's sjf and gavel policies)
+#      against their checked-in fallback-backend baselines
+#      (benchmarks/baselines/BENCH_fluid_tiny{,_sjf,_gavel}.json).
+#      Result anchors must match ([DRIFT] fails: the simulation changed);
 #      the timing threshold is deliberately generous (3x) because CI
 #      machines vary — this stage catches drift and order-of-magnitude
 #      slowdowns, not noise. See docs/PERFORMANCE.md. Serve baselines
@@ -33,6 +34,8 @@
 #      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
 #      metrics are bit-exact anchors, including the
 #      max-sum >= max-min >= fifo aggregate-throughput ordering.
+#   8. perfbench tests         — the repository benchmark's own unit
+#      tests (perfbench/tests; see perfbench/README.md).
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -64,8 +67,13 @@ python tools/obs_smoke.py
 
 echo "== perf smoke (bench --compare) =="
 python -m repro bench --backend fallback --no-write --threshold 3.0 \
-    --compare benchmarks/baselines/BENCH_fluid_tiny.json
+    --compare benchmarks/baselines/BENCH_fluid_tiny.json \
+    --compare benchmarks/baselines/BENCH_fluid_tiny_sjf.json \
+    --compare benchmarks/baselines/BENCH_fluid_tiny_gavel.json
 
 echo "== het smoke (bench --compare) =="
 python -m repro bench --backend fallback --no-write --threshold 3.0 \
     --compare benchmarks/baselines/BENCH_het_tiny.json
+
+echo "== perfbench tests =="
+python -m pytest perfbench/tests -q
