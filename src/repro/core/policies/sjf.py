@@ -21,7 +21,7 @@ Scoring therefore evaluates two candidate allocations per job.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator, SiloDPerfEstimator
@@ -109,17 +109,25 @@ class SjfPolicy(SchedulingPolicy):
     estimator object. A :class:`HetSiloDPerfEstimator` carries mutable
     generation assignments, so its rounds always re-score. The cache is
     rebuilt from each round's job list and never outlives the active set.
+    It keeps one slot per ``storage_aware`` value: a storage-partitioned
+    round (see :meth:`SiloDScheduler._schedule_partitioned`) scores the
+    regular pool storage-aware and the irregular pool without storage,
+    and each pool hits its own slot on the next round.
     """
 
     name = "sjf"
 
     def __init__(self) -> None:
-        #: job_id -> (job, score) for the last round's jobs.
-        self._scores: Dict[str, Tuple[Job, float]] = {}
-        #: The (total, storage_aware, estimator) the cached scores hold for.
-        self._scored_total: Optional[ResourceVector] = None
-        self._scored_storage_aware = False
-        self._scored_estimator: Optional[SiloDPerfEstimator] = None
+        #: storage_aware -> (total, estimator, {job_id: (job, score)}):
+        #: the last round's scores under that flag and what they hold for.
+        self._slots: Dict[
+            bool,
+            Tuple[
+                ResourceVector,
+                SiloDPerfEstimator,
+                Dict[str, Tuple[Job, float]],
+            ],
+        ] = {}
 
     def scores(
         self,
@@ -132,13 +140,14 @@ class SjfPolicy(SchedulingPolicy):
         storage_aware = ctx.storage_aware
         cacheable = not isinstance(estimator, HetSiloDPerfEstimator)
         previous: Dict[str, Tuple[Job, float]] = {}
+        slot = self._slots.get(storage_aware)
         if (
             cacheable
-            and self._scored_estimator is estimator
-            and self._scored_storage_aware == storage_aware
-            and self._scored_total == total
+            and slot is not None
+            and slot[1] is estimator
+            and slot[0] == total
         ):
-            previous = self._scores
+            previous = slot[2]
         kept: Dict[str, Tuple[Job, float]] = {}
         scores: Dict[str, float] = {}
         for job in jobs:
@@ -150,12 +159,9 @@ class SjfPolicy(SchedulingPolicy):
             kept[job.job_id] = (job, score)
             scores[job.job_id] = score
         if cacheable:
-            self._scores = kept
-            self._scored_total = total
-            self._scored_storage_aware = storage_aware
-            self._scored_estimator = estimator
+            self._slots[storage_aware] = (total, estimator, kept)
         else:
-            self._scores = {}
+            self._slots.pop(storage_aware, None)
         return scores
 
     def order(

@@ -37,7 +37,12 @@ from typing import Dict, List, Tuple
 
 from repro import units
 from repro.cluster.hardware import Cluster
-from repro.perf.record import MetricDelta, host_fingerprint, utc_now_iso
+from repro.perf.record import (
+    MetricDelta,
+    anchor_delta,
+    host_fingerprint,
+    utc_now_iso,
+)
 from repro.sim.runner import run_experiment
 from repro.workloads.trace import (
     TraceConfig,
@@ -288,16 +293,7 @@ def compare_het_records(
     deltas: List[MetricDelta] = []
 
     def anchor(metric: str, base: float, cur: float) -> None:
-        deltas.append(
-            MetricDelta(
-                metric=metric,
-                baseline=base,
-                current=cur,
-                ratio=(cur / base) if base else None,
-                regressed=False,
-                drift=abs(cur - base) > 1e-9 * max(1.0, abs(base)),
-            )
-        )
+        deltas.append(anchor_delta(metric, base, cur))
 
     for policy in baseline.policies:
         anchor(

@@ -173,6 +173,22 @@ class MetricDelta:
         )
 
 
+def anchor_delta(metric: str, base: float, cur: float) -> MetricDelta:
+    """The comparison row of one result anchor.
+
+    The simulators are deterministic, so an anchor is compared bit for
+    bit: any difference at all is drift, never noise.
+    """
+    return MetricDelta(
+        metric=metric,
+        baseline=base,
+        current=cur,
+        ratio=(cur / base) if base else None,
+        regressed=False,
+        drift=cur != base,
+    )
+
+
 def compare_records(
     current: BenchRecord,
     baseline: BenchRecord,
@@ -196,21 +212,14 @@ def compare_records(
                 f"cannot compare: {field} differs "
                 f"(current={mine!r}, baseline={theirs!r})"
             )
-    deltas: List[MetricDelta] = []
-    for metric in ANCHOR_METRICS:
-        base = float(getattr(baseline, metric))
-        cur = float(getattr(current, metric))
-        drift = abs(cur - base) > 1e-9 * max(1.0, abs(base))
-        deltas.append(
-            MetricDelta(
-                metric=metric,
-                baseline=base,
-                current=cur,
-                ratio=(cur / base) if base else None,
-                regressed=False,
-                drift=drift,
-            )
+    deltas: List[MetricDelta] = [
+        anchor_delta(
+            metric,
+            float(getattr(baseline, metric)),
+            float(getattr(current, metric)),
         )
+        for metric in ANCHOR_METRICS
+    ]
     for metric in THROUGHPUT_METRICS:
         base = float(getattr(baseline, metric))
         cur = float(getattr(current, metric))

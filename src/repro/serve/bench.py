@@ -25,7 +25,12 @@ from typing import Dict, List
 
 from repro import units
 from repro.cluster.hardware import Cluster
-from repro.perf.record import MetricDelta, host_fingerprint, utc_now_iso
+from repro.perf.record import (
+    MetricDelta,
+    anchor_delta,
+    host_fingerprint,
+    utc_now_iso,
+)
 from repro.serve.client import ServeClient
 from repro.serve.clock import VirtualClock
 from repro.serve.engine import OnlineEngine, _percentile
@@ -273,20 +278,14 @@ def compare_serve_records(
                 f"cannot compare: {field} differs "
                 f"(current={mine!r}, baseline={theirs!r})"
             )
-    deltas: List[MetricDelta] = []
-    for metric in SERVE_ANCHOR_METRICS:
-        base = float(getattr(baseline, metric))
-        cur = float(getattr(current, metric))
-        deltas.append(
-            MetricDelta(
-                metric=metric,
-                baseline=base,
-                current=cur,
-                ratio=(cur / base) if base else None,
-                regressed=False,
-                drift=abs(cur - base) > 1e-9 * max(1.0, abs(base)),
-            )
+    deltas: List[MetricDelta] = [
+        anchor_delta(
+            metric,
+            float(getattr(baseline, metric)),
+            float(getattr(current, metric)),
         )
+        for metric in SERVE_ANCHOR_METRICS
+    ]
     for metric in SERVE_THROUGHPUT_METRICS:
         base = float(getattr(baseline, metric))
         cur = float(getattr(current, metric))

@@ -21,6 +21,7 @@ from repro.core.policies import sjf
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.sjf import SjfPolicy, sjf_score
 from repro.core.resources import ResourceVector
+from repro.core.silod import SiloDScheduler
 
 TB = 1024.0 * 1024.0
 TOTAL = ResourceVector(gpus=8, cache_mb=2 * TB, remote_io_mbps=200.0)
@@ -35,6 +36,11 @@ def job(job_id, f_star=114.0, d_mb=1.3 * TB, work_epochs=2.0, gpus=1):
         ideal_throughput_mbps=f_star,
         total_work_mb=work_epochs * d_mb,
     )
+
+
+def cached_ids(policy, storage_aware=True):
+    """Job ids the policy's cache slot for ``storage_aware`` holds."""
+    return set(policy._slots[storage_aware][2])
 
 
 @pytest.fixture
@@ -131,11 +137,40 @@ def test_cache_holds_only_the_current_round(scored):
     jobs = [job("a"), job("b"), job("c")]
     policy.schedule(jobs, TOTAL, ScheduleContext(estimator=estimator))
     policy.schedule(jobs[1:2], TOTAL, ScheduleContext(estimator=estimator))
-    assert set(policy._scores) == {"b"}
+    assert cached_ids(policy) == {"b"}
     # "a" comes back: it was dropped, so it is scored again.
     policy.schedule(jobs[:2], TOTAL, ScheduleContext(estimator=estimator))
     assert scored == ["a", "b", "c", "a"]
-    assert set(policy._scores) == {"a", "b"}
+    assert cached_ids(policy) == {"a", "b"}
+
+
+def test_partitioned_rounds_hit_one_slot_per_storage_flag(scored):
+    """Regular and irregular pools are scored once, not every round.
+
+    With irregular jobs a SiloD round calls the policy twice: the
+    regular pool storage-aware, the irregular pool without storage.
+    Each flag keeps its own cache slot, so a second round with the same
+    membership makes no ``sjf_score`` call at all.
+    """
+    scheduler = SiloDScheduler(SjfPolicy())
+    jobs = [
+        dataclasses.replace(
+            job(f"j{i}", work_epochs=1.0 + i), regular=(i % 4 != 3)
+        )
+        for i in range(8)
+    ]
+    first = scheduler.schedule(jobs, TOTAL)
+    assert sorted(scored) == sorted(j.job_id for j in jobs)
+    del scored[:]
+    second = scheduler.schedule(jobs, TOTAL)
+    assert scored == []
+    assert set(scheduler.policy._slots) == {True, False}
+    assert (second.gpus, second.cache, second.remote_io) == (
+        first.gpus, first.cache, first.remote_io,
+    )
+    fresh = SiloDScheduler(SjfPolicy())
+    assert fresh.schedule(jobs, TOTAL).gpus == second.gpus
+    assert fresh.last_scores == scheduler.last_scores
 
 
 def test_order_reuses_the_cached_scores(scored):
@@ -183,4 +218,4 @@ def test_cached_policy_matches_a_fresh_one_every_round(rounds):
         b = SjfPolicy().schedule(jobs, total, ctx_b)
         assert (a.gpus, a.cache, a.remote_io) == (b.gpus, b.cache, b.remote_io)
         assert ctx_a.job_scores == ctx_b.job_scores
-        assert set(cached._scores) == set(ctx_a.job_scores)
+        assert cached_ids(cached, storage_aware) == set(ctx_a.job_scores)

@@ -129,6 +129,84 @@ def test_compare_flags_anchor_drift():
     assert has_failures(deltas)
 
 
+def _serve_record(**overrides):
+    from repro.serve.bench import SERVE_BENCH_SCHEMA_VERSION, ServeBenchRecord
+
+    base = dict(
+        schema_version=SERVE_BENCH_SCHEMA_VERSION, scenario="serve_ci",
+        policy="fifo", cache="silod", simulator="fluid", num_jobs=24,
+        num_gpus=16, arrival_rate_per_s=2000.0, wall_time_s=1.0,
+        decisions_total=100, decisions_per_sec=100.0,
+        admit_to_place_p50_ms=2.0, admit_to_place_p99_ms=8.0,
+        decision_latency_p99_ms=4.0, jobs_submitted=24, jobs_finished=24,
+        created_utc="2026-01-01T00:00:00Z", host={},
+    )
+    base.update(overrides)
+    return ServeBenchRecord(**base)
+
+
+def _het_record(**overrides):
+    from repro.perf.het_bench import (
+        HET_BENCH_SCHEMA_VERSION,
+        HET_POLICIES,
+        HetBenchRecord,
+    )
+
+    base = dict(
+        schema_version=HET_BENCH_SCHEMA_VERSION, scenario="het_tiny",
+        simulator="fluid", cache="silod", num_jobs=16, num_gpus=12,
+        gpu_mix="V100:2,A100:1", policies=list(HET_POLICIES),
+        agg_throughput_mbps={p: 100.0 for p in HET_POLICIES},
+        avg_jct_min={p: 200.0 for p in HET_POLICIES},
+        jobs_finished={p: 16 for p in HET_POLICIES},
+        ordering_ok=True, wall_time_s=2.0,
+        created_utc="2026-08-07T00:00:00Z", host={},
+    )
+    base.update(overrides)
+    return HetBenchRecord(**base)
+
+
+def test_sub_nanoscale_anchor_change_is_drift_for_every_record_kind():
+    """Anchors are bit-for-bit: a change below 1e-9 relative still drifts."""
+    from repro.perf.het_bench import HET_POLICIES, compare_het_records
+    from repro.serve.bench import compare_serve_records
+
+    nudge = 1.0 + 1e-12
+    cases = [
+        (
+            compare_records(
+                record(avg_jct_min=42.5 * nudge), record(), threshold=0.25
+            ),
+            "avg_jct_min",
+        ),
+        (
+            compare_serve_records(
+                _serve_record(jobs_finished=24 * nudge), _serve_record(),
+                threshold=0.25,
+            ),
+            "jobs_finished",
+        ),
+        (
+            compare_het_records(
+                _het_record(avg_jct_min={
+                    p: 200.0 * (nudge if p == "fifo" else 1.0)
+                    for p in HET_POLICIES
+                }),
+                _het_record(),
+                threshold=0.25,
+            ),
+            "jct[fifo]",
+        ),
+    ]
+    for deltas, metric in cases:
+        row = next(d for d in deltas if d.metric == metric)
+        assert row.current != row.baseline
+        assert abs(row.current - row.baseline) < 1e-9 * abs(row.baseline)
+        assert [d.metric for d in deltas if d.drift] == [metric]
+        assert "[DRIFT]" in row.render()
+        assert has_failures(deltas)
+
+
 def test_compare_rejects_identity_mismatch():
     with pytest.raises(ValueError, match="scenario differs"):
         compare_records(record(scenario="other"), record(), threshold=0.25)

@@ -100,13 +100,6 @@ def test_max_time_leaves_jobs_unfinished():
     assert result.end_time_s <= 1000.0 + 1e-6
 
 
-def test_duplicate_job_ids_rejected():
-    jobs = [simple_job("same"), simple_job("same")]
-    scheduler, cache_system = make_system("fifo", "silod")
-    with pytest.raises(ValueError):
-        FluidSimulator(small_cluster(), scheduler, cache_system, jobs)
-
-
 def test_dataset_sharing_jobs_share_cache():
     shared = Dataset("shared", 50.0 * GB)
     jobs = [

@@ -1,10 +1,11 @@
 """The fluid simulator's generation mirror writes a row only on change.
 
-``FluidSimulator._reschedule`` copies each active job's GPU generation
-into the job table's gen column, which ``generation_of`` reads back. A
-row is written only when its stored generation differs, so on a
-homogeneous fleet each admitted row is written once; on a mixed fleet
-the column still follows every reassignment.
+Every scheduling round, ``FluidSimulator._allocation_changed`` copies
+each active job's GPU generation into the job table's gen column, which
+``generation_of`` reads back. A row is written only when its stored
+generation differs, so on a homogeneous fleet each admitted row is
+written once; on a mixed fleet the column still follows every
+reassignment.
 """
 
 import pytest

@@ -90,17 +90,6 @@ def test_max_time_cuts_off():
     assert result.records[0].finish_time_s is None
 
 
-def test_duplicate_ids_rejected():
-    scheduler, cache_system = make_system("fifo", "silod")
-    with pytest.raises(ValueError):
-        MinibatchEmulator(
-            small_cluster(),
-            scheduler,
-            cache_system,
-            [simple_job("x"), simple_job("x")],
-        )
-
-
 def test_timeline_reports_throughput():
     job = simple_job("a", d_gb=20.0, f_star=50.0, epochs=2.0)
     result = run([job], cluster=small_cluster(io_mbps=200.0))

@@ -128,6 +128,14 @@ def test_submit_job_out_of_order_lands_in_arrival_order(sim_name):
 
 
 @pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])
+def test_duplicate_job_ids_rejected(sim_name):
+    """A trace with a repeated job id is refused at construction."""
+    job = three_jobs()[0]
+    with pytest.raises(ValueError, match="unique"):
+        build(sim_name, [job, job])
+
+
+@pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])
 def test_submit_job_rejects_duplicates_even_after_finish(sim_name):
     jobs = three_jobs()
     sim = build(sim_name, jobs)
@@ -154,9 +162,10 @@ def test_cancel_running_job_frees_it_and_run_completes(sim_name):
     assert finished == {"job-1", "job-2"}
 
 
-def test_cancel_pending_job_before_arrival():
+@pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])
+def test_cancel_pending_job_before_arrival(sim_name):
     """Cancelling a job still in the trace tail removes it unstarted."""
-    sim = build("fluid", three_jobs())
+    sim = build(sim_name, three_jobs())
     sim.begin()
     assert sim.cancel_job("job-2", reason="test") is True
     while sim.step():
